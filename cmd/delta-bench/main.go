@@ -54,22 +54,13 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	server := flag.String("server", "", "resolve simulations through the delta-serve daemon at this URL")
-	shards := flag.Int("shards", 0,
-		"intra-simulation shard count for every run (byte-identical output); 0 reads TASKSTREAM_SHARDS; 1 forces serial")
 	policy := flag.String("policy", "",
 		"dispatch policy for every dynamic-dispatch run ("+strings.Join(core.PolicyNames(), ", ")+"); empty reads TASKSTREAM_POLICY")
 	hostprof := flag.Bool("hostprof", false,
-		"profile host wall-clock time inside the engines; per-phase and per-shard attribution to stderr (stdout unchanged)")
-	scaling := flag.Bool("scaling", false,
-		"run the E17 shard-scaling measurement (wall-clock; shards 1,2,4,8) instead of the experiment suite")
-	reps := flag.Int("reps", 3, "repetitions per shard point in -scaling mode (best-of)")
+		"profile host wall-clock time inside the engines; run totals to stderr (stdout unchanged)")
 	flag.Parse()
 	if *jobs < 1 {
 		fmt.Fprintf(os.Stderr, "delta-bench: -j must be >= 1 (got %d)\n", *jobs)
-		os.Exit(1)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "delta-bench: -shards must be >= 0 (got %d)\n", *shards)
 		os.Exit(1)
 	}
 	if *policy != "" {
@@ -78,45 +69,18 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *shards > 0 {
-		// The experiment definitions build their own core.Options, so
-		// the shard count rides the environment default every machine
-		// constructor consults (core.resolveShards).
-		os.Setenv("TASKSTREAM_SHARDS", fmt.Sprint(*shards))
-	}
 	if *policy != "" {
-		// Same route as -shards: the run-time-dispatch baseline variants
-		// resolve their scheduler via core.AmbientPolicy, so the flag
-		// rides the environment. Unlike shards, the policy lands in every
-		// cache key (distinct policies never share entries). E16 pins its
-		// own policies explicitly and is unaffected.
+		// The experiment definitions build their own core.Options, and
+		// the run-time-dispatch baseline variants resolve their
+		// scheduler via core.AmbientPolicy, so the flag rides the
+		// environment. The policy lands in every cache key (distinct
+		// policies never share entries). E16 pins its own policies
+		// explicitly and is unaffected.
 		os.Setenv("TASKSTREAM_POLICY", *policy)
 	}
 	experiments.SetWorkers(*jobs)
 	if *hostprof {
 		sim.SetHostProf(true)
-	}
-
-	if *scaling {
-		// E17 rides its own mode: wall-clock tables must never mix into
-		// the byte-identical suite stdout (see internal/experiments/scaling.go).
-		r, err := experiments.RunShardScaling(nil, *reps)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "delta-bench: -scaling: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(r.Render())
-		if *jsonPath != "" {
-			if err := writeJSON(*jsonPath, []experiments.Result{r}); err != nil {
-				fmt.Fprintf(os.Stderr, "delta-bench: -json: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *hostprof {
-			snap := sim.HostProfSnapshot()
-			fmt.Fprint(os.Stderr, snap.Report())
-		}
-		return
 	}
 
 	var client *store.Client

@@ -32,7 +32,6 @@ type options struct {
 	policy     string
 	vet        bool
 	verbose    bool
-	shards     int
 	traceOut   string
 	traceLimit int
 	hostprof   bool
@@ -68,9 +67,6 @@ func (o options) validate() error {
 	}
 	if o.traceLimit < 0 {
 		return fmt.Errorf("-trace-limit must be >= 0 (got %d)", o.traceLimit)
-	}
-	if o.shards < 0 {
-		return fmt.Errorf("-shards must be >= 0 (got %d)", o.shards)
 	}
 	return nil
 }
@@ -119,14 +115,12 @@ func main() {
 		"dispatch policy override: "+strings.Join(core.PolicyNames(), "|")+"; empty keeps the variant's policy")
 	flag.BoolVar(&o.vet, "vet", true, "statically verify the program before running (delta-vet)")
 	flag.BoolVar(&o.verbose, "v", false, "print every counter")
-	flag.IntVar(&o.shards, "shards", 0,
-		"intra-simulation shard count: >1 ticks lanes in parallel (byte-identical results); 0 reads TASKSTREAM_SHARDS; 1 forces serial")
 	flag.StringVar(&o.traceOut, "trace-out", "",
 		"write a Chrome trace-event / Perfetto JSON trace of the run to this path")
 	flag.IntVar(&o.traceLimit, "trace-limit", 250000,
 		"max buffered trace events (0 = unbounded; metrics keep counting past the limit)")
 	flag.BoolVar(&o.hostprof, "hostprof", false,
-		"profile host wall-clock time inside the engine (per-phase + per-shard attribution to stderr; results unchanged)")
+		"profile host wall-clock time inside the engine (run totals to stderr; results unchanged)")
 	flag.Parse()
 
 	if err := o.validatePolicy(); err != nil {
@@ -148,7 +142,6 @@ func main() {
 	cfg, opts := v.Configure(config.Default8().WithLanes(o.lanes))
 	opts.Hints = hm
 	opts.Vet = o.vet
-	opts.Shards = o.shards
 	if o.policy != "" {
 		// Explicit -policy overrides the variant's resolved policy,
 		// including the static comparator's pin.

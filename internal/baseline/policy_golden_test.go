@@ -19,7 +19,7 @@ import (
 // files hold the canonical report encoding of every suite workload
 // captured from the pre-refactor coordinator, and the refactored
 // schedulers must reproduce them byte for byte — with fast-forwarding
-// on or off and at any shard count.
+// on or off.
 
 // readGolden parses testdata/<name>: one "<workload> <report-json>"
 // line per suite workload.
@@ -48,15 +48,14 @@ func readGolden(t *testing.T, name string) map[string][]byte {
 }
 
 // goldenVariants are the execution strategies that must all reproduce
-// the committed pre-refactor bytes: plain, fast-forward disabled, and
-// sharded (both contracts say the strategy never changes the result).
+// the committed pre-refactor bytes: plain and fast-forward disabled
+// (the §11 contract says the strategy never changes the result).
 var goldenVariants = []struct {
 	name string
 	mut  func(*core.Options)
 }{
 	{"base", nil},
 	{"noff", func(o *core.Options) { o.DisableFastForward = true }},
-	{"shards8", func(o *core.Options) { o.Shards = 8 }},
 }
 
 func testPolicyGolden(t *testing.T, variant Variant, goldenFile string) {
@@ -105,10 +104,10 @@ func TestStaticPolicyGoldenSuite(t *testing.T) {
 	testPolicyGolden(t, Static, "static_policy_golden.txt")
 }
 
-// TestNewPolicySuiteIdentity extends the two execution-strategy
-// contracts (§11 fast-forwarding, §16 sharding) to the new schedulers:
-// streamgraph and pipeline runs must also be byte-identical with
-// fast-forwarding off and when sharded, and must still verify.
+// TestNewPolicySuiteIdentity extends the execution-strategy contract
+// (§11 fast-forwarding) to the new schedulers: streamgraph and
+// pipeline runs must also be byte-identical with fast-forwarding off,
+// and must still verify.
 func TestNewPolicySuiteIdentity(t *testing.T) {
 	for _, policy := range []core.Policy{core.PolicyStreamGraph, core.PolicyPipeline} {
 		for _, name := range []string{"spmv", "sort", "join", "kmeans"} {

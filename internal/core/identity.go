@@ -16,15 +16,12 @@ func (o Options) Cacheable() bool { return o.Trace == nil && o.Obs == nil }
 
 // Normalized returns options reduced to the fields that determine the
 // run's observable result: the trace recorder and observability sink
-// are dropped (neither alters simulation behavior), Shards is dropped
-// (sharded execution is byte-identical to serial by contract,
-// DESIGN.md §16, so a cached serial result answers a sharded request
-// and vice versa), and non-positive MaxCycles collapses to zero, since
-// every value <= 0 means "engine default".
+// are dropped (neither alters simulation behavior), and non-positive
+// MaxCycles collapses to zero, since every value <= 0 means "engine
+// default".
 func (o Options) Normalized() Options {
 	o.Trace = nil
 	o.Obs = nil
-	o.Shards = 0
 	if o.MaxCycles <= 0 {
 		o.MaxCycles = 0
 	}

@@ -37,19 +37,6 @@ func TestOptionsCacheKeyNormalization(t *testing.T) {
 		t.Error("explicit MaxCycles did not reach the cache key")
 	}
 
-	// Shards selects an execution strategy, not a result: sharded runs
-	// are byte-identical to serial by contract (DESIGN.md §16), so the
-	// field must never reach the key — a cached serial result answers a
-	// sharded request and vice versa.
-	sharded := base
-	sharded.Shards = 8
-	if sharded.CacheKey() != base.CacheKey() {
-		t.Error("Shards reached the cache key")
-	}
-	if sharded.Normalized().Shards != 0 {
-		t.Error("Normalized kept Shards")
-	}
-
 	// Every result-determining field must reach the key.
 	for name, mut := range map[string]func(*Options){
 		"Policy":             func(o *Options) { o.Policy = PolicyStatic },

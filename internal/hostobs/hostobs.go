@@ -1,7 +1,7 @@
 // Package hostobs observes the host, not the machine: wall-clock
 // metrics about the simulator process itself — cache-tier hit
-// counters, resolve and HTTP latency distributions, shard-pool phase
-// attribution — as opposed to internal/obs, which observes simulated
+// counters, resolve and HTTP latency distributions, engine run
+// totals — as opposed to internal/obs, which observes simulated
 // cycles. It is a dependency-free, lock-cheap metrics registry:
 // counters and gauges are single atomics, histograms are bounded
 // log-scale bucket arrays of atomics, and the registry mutex is taken
@@ -99,8 +99,8 @@ type Histogram struct {
 }
 
 // LatencyBuckets is the default bound set: a 1–2.5–5 log scale from
-// 1µs to 60s, wide enough to hold both sub-millisecond shard-pool
-// phases and minute-long cold simulations in one bounded array.
+// 1µs to 60s, wide enough to hold both sub-millisecond memory-tier
+// resolves and minute-long cold simulations in one bounded array.
 var LatencyBuckets = []float64{
 	1e-6, 2.5e-6, 5e-6,
 	1e-5, 2.5e-5, 5e-5,
@@ -247,8 +247,11 @@ func renderLabels(kv []string) string {
 }
 
 // lookup finds or creates the family and the series slot, enforcing
-// kind and help consistency across registrations of the same family.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []string) *series {
+// kind and help consistency across registrations of the same family,
+// and runs fill on the slot under the registry lock, so concurrent
+// first uses of one series share a single instance and no export reads
+// a slot while it is written.
+func (r *Registry) lookup(name, help string, kind metricKind, labels []string, fill func(*series)) {
 	ls := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -264,79 +267,94 @@ func (r *Registry) lookup(name, help string, kind metricKind, labels []string) *
 		s = &series{family: name, labels: ls, kv: append([]string(nil), labels...)}
 		f.series[ls] = s
 	}
-	return s
+	fill(s)
 }
 
 // Counter returns the counter series (family, labels...), creating it
 // on first use. labels are alternating key, value pairs.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.lookup(name, help, kindCounter, labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	var c *Counter
+	r.lookup(name, help, kindCounter, labels, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+		c = s.c
+	})
+	return c
 }
 
 // RegisterCounter names an existing counter for export — the adoption
 // path runplan uses so one atomic serves both Counters() snapshots and
 // /metrics. Re-registering the same series replaces its instance.
 func (r *Registry) RegisterCounter(name, help string, c *Counter, labels ...string) {
-	r.lookup(name, help, kindCounter, labels).c = c
+	r.lookup(name, help, kindCounter, labels, func(s *series) { s.c = c })
 }
 
 // Gauge returns the settable gauge series (family, labels...),
 // creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.lookup(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	var g *Gauge
+	r.lookup(name, help, kindGauge, labels, func(s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+		g = s.g
+	})
+	return g
 }
 
 // GaugeFunc registers a function gauge whose value is computed by fn
 // at every export.
 func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...string) {
-	r.lookup(name, help, kindGauge, labels).g = &Gauge{fn: fn}
+	r.lookup(name, help, kindGauge, labels, func(s *series) { s.g = &Gauge{fn: fn} })
 }
 
 // Histogram returns the histogram series (family, labels...), creating
 // it with the given bounds (nil = LatencyBuckets) on first use. The
 // bounds of an existing series are kept.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	s := r.lookup(name, help, kindHistogram, labels)
-	if s.h == nil {
-		s.h = NewHistogram(bounds)
-	}
-	return s.h
+	var h *Histogram
+	r.lookup(name, help, kindHistogram, labels, func(s *series) {
+		if s.h == nil {
+			s.h = NewHistogram(bounds)
+		}
+		h = s.h
+	})
+	return h
 }
 
 // RegisterHistogram names an existing histogram for export.
 func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...string) {
-	r.lookup(name, help, kindHistogram, labels).h = h
+	r.lookup(name, help, kindHistogram, labels, func(s *series) { s.h = h })
+}
+
+// exported is one family's export view: its series copied under the
+// registry lock and sorted by rendered labels. A family's name, help
+// and kind never change after creation, so f is read without the lock.
+type exported struct {
+	f    *family
+	rows []series
 }
 
 // snapshot returns the families and their series in sorted order —
 // the one ordering both exporters share, which is what makes scrape
-// output stable.
-func (r *Registry) snapshot() []*family {
+// output stable. Series are copied under the lock, so an export never
+// reads the live map or a slot that a registration is writing.
+func (r *Registry) snapshot() []exported {
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
+	out := make([]exported, 0, len(r.families))
 	for _, f := range r.families {
-		fams = append(fams, f)
+		e := exported{f: f, rows: make([]series, 0, len(f.series))}
+		for _, s := range f.series {
+			e.rows = append(e.rows, *s)
+		}
+		out = append(out, e)
 	}
 	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
-}
-
-// sortedSeries returns a family's series sorted by rendered labels.
-func (f *family) sortedSeries() []*series {
-	out := make([]*series, 0, len(f.series))
-	for _, s := range f.series {
-		out = append(out, s)
+	sort.Slice(out, func(i, j int) bool { return out[i].f.name < out[j].f.name })
+	for _, e := range out {
+		sort.Slice(e.rows, func(i, j int) bool { return e.rows[i].labels < e.rows[j].labels })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })
 	return out
 }
 
@@ -368,11 +386,12 @@ func promName(name, labels string, extra ...string) string {
 // triples. Output for an unchanged registry is byte-identical across
 // calls.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	for _, f := range r.snapshot() {
+	for _, e := range r.snapshot() {
+		f := e.f
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
-		for _, s := range f.sortedSeries() {
+		for _, s := range e.rows {
 			switch f.kind {
 			case kindCounter:
 				if s.c == nil {
@@ -426,8 +445,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("[")
 	first := true
-	for _, f := range r.snapshot() {
-		for _, s := range f.sortedSeries() {
+	for _, e := range r.snapshot() {
+		f := e.f
+		for _, s := range e.rows {
 			if !first {
 				b.WriteString(",")
 			}

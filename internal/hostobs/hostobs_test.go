@@ -3,6 +3,7 @@ package hostobs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +241,70 @@ func TestConcurrentObservation(t *testing.T) {
 	wg.Wait()
 	if c.Value() != 8000 || h.Count() != 8000 {
 		t.Fatalf("lost observations: counter=%d hist=%d", c.Value(), h.Count())
+	}
+}
+
+// TestConcurrentCreateAndScrape creates labelled series from several
+// goroutines while others scrape, the way delta-serve registers a new
+// route/status series during a /metrics request. Under the race
+// detector it pins that series creation and export share the registry
+// lock; without it, it pins that concurrent first uses of one series
+// share a single instance, so no increment is lost.
+func TestConcurrentCreateAndScrape(t *testing.T) {
+	r := NewRegistry()
+	const workers, routes = 8, 300
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			// Every worker walks the same routes, so each series is
+			// first used by several goroutines at once.
+			for i := 0; i < routes; i++ {
+				route := fmt.Sprint(i)
+				r.Counter("req_total", "requests", "route", route).Inc()
+				r.Gauge("inflight", "in flight", "route", route).Add(1)
+				r.Histogram("req_seconds", "latency", nil, "route", route).Observe(time.Microsecond)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		<-start
+		for {
+			var buf bytes.Buffer
+			if err := r.WritePrometheus(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := r.WriteJSON(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	close(start)
+	wg.Wait()
+	close(stop)
+	<-scraped
+	var reqs, inflight, obs int64
+	for i := 0; i < routes; i++ {
+		route := fmt.Sprint(i)
+		reqs += r.Counter("req_total", "requests", "route", route).Value()
+		inflight += r.Gauge("inflight", "in flight", "route", route).Value()
+		obs += r.Histogram("req_seconds", "latency", nil, "route", route).Count()
+	}
+	if want := int64(workers * routes); reqs != want || inflight != want || obs != want {
+		t.Fatalf("lost updates: counter %d, gauge %d, histogram %d, want %d each", reqs, inflight, obs, want)
 	}
 }
 

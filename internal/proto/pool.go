@@ -22,20 +22,10 @@ import "taskstream/internal/sim"
 //   - *ForwardBody: allocated by the producer stream engine, freed by
 //     the consumer in OnMessage.
 
-// BodyPool allocates and recycles the pooled message body types. Get
-// methods return zeroed bodies.
-type BodyPool interface {
-	GetReq() *MemReqBody
-	PutReq(*MemReqBody)
-	GetResp() *MemRespBody
-	PutResp(*MemRespBody)
-	GetFwd() *ForwardBody
-	PutFwd(*ForwardBody)
-}
-
-// Pool is the central body pool, for serial execution contexts: the
-// memory controllers (always serial — boundary shard), and the lanes
-// of a non-sharded machine. Not safe for concurrent use.
+// Pool allocates and recycles the pooled message body types; Get
+// methods return zeroed bodies. One Pool serves a whole machine (the
+// memory controllers and every lane's stream engine). Not safe for
+// concurrent use.
 type Pool struct {
 	req  sim.Slab[MemReqBody]
 	resp sim.Slab[MemRespBody]
@@ -51,51 +41,3 @@ func (p *Pool) GetResp() *MemRespBody  { return p.resp.Get() }
 func (p *Pool) PutResp(b *MemRespBody) { p.resp.Put(b) }
 func (p *Pool) GetFwd() *ForwardBody   { return p.fwd.Get() }
 func (p *Pool) PutFwd(b *ForwardBody)  { p.fwd.Put(b) }
-
-// ShardPool is a lane's shard-local body pool over a shared central
-// Pool. Gets and Puts touch only lane-local free lists, so the
-// parallel phase never contends on the pool; Recycle — called at the
-// epoch barrier, serial context — rebalances each type against the
-// central pool.
-//
-// The per-type stocking targets encode the cross-shard body flow: a
-// lane allocates requests and forwards (keep a working stock local)
-// but only frees responses (target 0 — every response body a lane
-// frees drains back to the central pool, where the memory controllers
-// reallocate them).
-type ShardPool struct {
-	req  *sim.ShardSlab[MemReqBody]
-	resp *sim.ShardSlab[MemRespBody]
-	fwd  *sim.ShardSlab[ForwardBody]
-}
-
-// Per-type local stocking targets (see ShardPool).
-const (
-	reqStock  = 64
-	respStock = 0
-	fwdStock  = 8
-)
-
-// NewShardPool returns a lane-local pool over central.
-func NewShardPool(central *Pool) *ShardPool {
-	return &ShardPool{
-		req:  sim.NewShardSlab(&central.req, reqStock),
-		resp: sim.NewShardSlab(&central.resp, respStock),
-		fwd:  sim.NewShardSlab(&central.fwd, fwdStock),
-	}
-}
-
-func (p *ShardPool) GetReq() *MemReqBody    { return p.req.Get() }
-func (p *ShardPool) PutReq(b *MemReqBody)   { p.req.Put(b) }
-func (p *ShardPool) GetResp() *MemRespBody  { return p.resp.Get() }
-func (p *ShardPool) PutResp(b *MemRespBody) { p.resp.Put(b) }
-func (p *ShardPool) GetFwd() *ForwardBody   { return p.fwd.Get() }
-func (p *ShardPool) PutFwd(b *ForwardBody)  { p.fwd.Put(b) }
-
-// Recycle rebalances the lane-local stocks against the central pool.
-// Serial context (epoch barrier) only.
-func (p *ShardPool) Recycle() {
-	p.req.Recycle()
-	p.resp.Recycle()
-	p.fwd.Recycle()
-}

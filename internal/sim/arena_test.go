@@ -26,60 +26,6 @@ func TestSlabRecyclesZeroed(t *testing.T) {
 	}
 }
 
-func TestShardSlabRecycleRebalances(t *testing.T) {
-	var central Slab[body]
-	sh := NewShardSlab(&central, 2)
-
-	// Free more than the local target; Recycle must push the excess back.
-	for i := 0; i < 5; i++ {
-		sh.Put(new(body))
-	}
-	sh.Recycle()
-	if got := len(sh.local); got != 2 {
-		t.Fatalf("local stock = %d after Recycle, want target 2", got)
-	}
-	if central.Len() != 3 {
-		t.Fatalf("central = %d after Recycle, want 3", central.Len())
-	}
-
-	// Drain the local stock; Recycle must refill from central.
-	sh.Get()
-	sh.Get()
-	sh.Recycle()
-	if got := len(sh.local); got != 2 {
-		t.Fatalf("local stock = %d after refill, want 2", got)
-	}
-	if central.Len() != 1 {
-		t.Fatalf("central = %d after refill, want 1", central.Len())
-	}
-}
-
-func TestShardSlabGetPutSamePhase(t *testing.T) {
-	var central Slab[body]
-	sh := NewShardSlab(&central, 0)
-	p := sh.Get()
-	p.A = 42
-	sh.Put(p)
-	q := sh.Get()
-	if q != p || q.A != 0 {
-		t.Fatalf("same-phase reuse broken: q==p %v, q=%+v", q == p, *q)
-	}
-}
-
-func TestOutboxDrainOrderAndReuse(t *testing.T) {
-	var ob Outbox
-	var got []int
-	ob.Defer(func() { got = append(got, 1) })
-	ob.Defer(func() { got = append(got, 2) })
-	ob.drain()
-	ob.Defer(func() { got = append(got, 3) })
-	ob.drain()
-	ob.drain() // empty drain is a no-op
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("drain order = %v, want [1 2 3]", got)
-	}
-}
-
 // BenchmarkSlabGetPut pins the steady-state cost of the free list.
 func BenchmarkSlabGetPut(b *testing.B) {
 	var s Slab[body]

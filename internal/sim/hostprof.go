@@ -2,177 +2,37 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Host profiling (DESIGN.md §18): wall-clock attribution of where the
-// simulator process spends time inside the sharded run loop — the
-// serial prefix, coupled-lane ticking, the parallel phase and its
-// barrier wait, outbox drains, barrier hooks, and the serial suffix —
-// plus per-shard busy time, so shard imbalance and the §16 Amdahl
-// serial/parallel split are measured rather than projected.
+// Host profiling (DESIGN.md §18): wall-clock run totals of the engine —
+// runs, executed and fast-forwarded cycles, and time inside Run —
+// summed process-wide.
 //
 // Profiling is strictly feedback-free: it reads the host clock around
-// existing phases and never touches simulated state, so results are
-// byte-identical with it on or off (pinned by TestHostProfIdentity and
-// the host-metrics CI cmp job). It is opt-in (SetHostProf) because the
-// clock reads cost real time per simulated cycle; the default path
-// pays one nil check per cycle.
+// Run and never touches simulated state, so results are byte-identical
+// with it on or off (pinned by the host-metrics CI cmp job). It is
+// opt-in (SetHostProf); the default path pays one atomic load per Run.
 
-// HostProf is a wall-clock attribution record. Engines accumulate one
-// per run when profiling is enabled and merge it into the process-wide
-// aggregate that HostProfSnapshot reads.
+// HostProf is a wall-clock run-total record. Engines merge one per run
+// into the process-wide aggregate that HostProfSnapshot reads when
+// profiling is enabled.
 type HostProf struct {
-	// Runs counts completed engine runs; ShardedRuns the subset driven
-	// by a ShardedEngine (only those carry phase attribution).
-	Runs        int64
-	ShardedRuns int64
+	// Runs counts completed engine runs.
+	Runs int64
 	// ExecutedCycles and SkippedCycles mirror the engine's fast-forward
 	// meters, summed over profiled runs.
 	ExecutedCycles int64
 	SkippedCycles  int64
-	// TotalNS is wall time inside Engine.Run / ShardedEngine.Run.
+	// TotalNS is wall time inside Engine.Run.
 	TotalNS int64
-	// Per-phase wall time of the sharded cycle loop. Phases sum to less
-	// than TotalNS; the remainder is loop overhead (quiescence scans,
-	// horizon folds, skip fan-outs).
-	SerialPrefixNS int64 // clock + coordinator
-	CoupledNS      int64 // gate-coupled lanes ticked serially
-	ParallelNS     int64 // dispatch wall time (own work + barrier wait)
-	BarrierWaitNS  int64 // driver idle inside ParallelNS waiting on stragglers
-	OutboxDrainNS  int64 // deferred cross-shard effect replay
-	HookNS         int64 // barrier hooks (obs flush, port fold, slab rebalance)
-	SerialSuffixNS int64 // mesh + memory controllers + DRAM
-	// ShardBusyNS[k] is wall time spent ticking parallel-group member k
-	// (lane k), summed across cycles — the shard-imbalance signal.
-	ShardBusyNS []int64
-	// Streams is the maximum number of parallel execution streams
-	// (workers + driver) seen across merged runs.
-	Streams int
 }
 
-// merge folds o into p.
-func (p *HostProf) merge(o *HostProf) {
-	p.Runs += o.Runs
-	p.ShardedRuns += o.ShardedRuns
-	p.ExecutedCycles += o.ExecutedCycles
-	p.SkippedCycles += o.SkippedCycles
-	p.TotalNS += o.TotalNS
-	p.SerialPrefixNS += o.SerialPrefixNS
-	p.CoupledNS += o.CoupledNS
-	p.ParallelNS += o.ParallelNS
-	p.BarrierWaitNS += o.BarrierWaitNS
-	p.OutboxDrainNS += o.OutboxDrainNS
-	p.HookNS += o.HookNS
-	p.SerialSuffixNS += o.SerialSuffixNS
-	for len(p.ShardBusyNS) < len(o.ShardBusyNS) {
-		p.ShardBusyNS = append(p.ShardBusyNS, 0)
-	}
-	for i, v := range o.ShardBusyNS {
-		p.ShardBusyNS[i] += v
-	}
-	if o.Streams > p.Streams {
-		p.Streams = o.Streams
-	}
-}
-
-// SerialNS returns the attributed serial wall time — every phase that
-// runs on the driving goroutine alone. This is the numerator of the
-// measured Amdahl serial fraction.
-func (p *HostProf) SerialNS() int64 {
-	return p.SerialPrefixNS + p.CoupledNS + p.OutboxDrainNS + p.HookNS + p.SerialSuffixNS
-}
-
-// ShardBusyTotalNS returns the summed per-shard busy time — the
-// parallel work that would run serially on one stream.
-func (p *HostProf) ShardBusyTotalNS() int64 {
-	var t int64
-	for _, v := range p.ShardBusyNS {
-		t += v
-	}
-	return t
-}
-
-// ParallelFraction estimates the Amdahl parallel fraction p from the
-// attribution: parallelizable work (summed shard busy time) over the
-// equivalent single-stream total (that work plus every serial phase).
-// Returns 0 when nothing was attributed.
-func (p *HostProf) ParallelFraction() float64 {
-	par := float64(p.ShardBusyTotalNS())
-	ser := float64(p.SerialNS())
-	if par+ser <= 0 {
-		return 0
-	}
-	return par / (par + ser)
-}
-
-// Imbalance returns max/mean of per-shard busy time (1.0 = perfectly
-// balanced; 0 when no shard ran).
-func (p *HostProf) Imbalance() float64 {
-	if len(p.ShardBusyNS) == 0 {
-		return 0
-	}
-	var sum, max int64
-	for _, v := range p.ShardBusyNS {
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(p.ShardBusyNS))
-	return float64(max) / mean
-}
-
-// ms renders nanoseconds as milliseconds with a stable width.
-func ms(ns int64) string { return fmt.Sprintf("%9.2fms", float64(ns)/1e6) }
-
-// pct renders part/whole as a percentage, "-" when whole is 0.
-func pct(part, whole int64) string {
-	if whole <= 0 {
-		return "     -"
-	}
-	return fmt.Sprintf("%5.1f%%", 100*float64(part)/float64(whole))
-}
-
-// Report renders the -hostprof stderr report: run totals, the sharded
-// phase attribution with each phase's share of attributed time, and
-// the per-shard busy distribution.
+// Report renders the -hostprof stderr report.
 func (p *HostProf) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "host profile: %d runs (%d sharded, %d streams), wall %s\n",
-		p.Runs, p.ShardedRuns, p.Streams, ms(p.TotalNS))
-	fmt.Fprintf(&b, "  cycles: %d executed, %d fast-forwarded\n",
-		p.ExecutedCycles, p.SkippedCycles)
-	if p.ShardedRuns == 0 {
-		b.WriteString("  (no sharded runs — phase attribution needs -shards > 1 on >=4 lanes)\n")
-		return b.String()
-	}
-	attributed := p.SerialNS() + p.ParallelNS
-	other := p.TotalNS - attributed
-	fmt.Fprintf(&b, "sharded cycle-loop attribution (share of attributed %s):\n", ms(attributed))
-	fmt.Fprintf(&b, "  serial prefix   %s  %s   (clock + coordinator)\n", ms(p.SerialPrefixNS), pct(p.SerialPrefixNS, attributed))
-	fmt.Fprintf(&b, "  coupled lanes   %s  %s   (unflipped forward-group gates)\n", ms(p.CoupledNS), pct(p.CoupledNS, attributed))
-	fmt.Fprintf(&b, "  parallel phase  %s  %s   (lane ticks on %d streams)\n", ms(p.ParallelNS), pct(p.ParallelNS, attributed), p.Streams)
-	fmt.Fprintf(&b, "    barrier wait  %s  %s   (driver idle at the epoch barrier)\n", ms(p.BarrierWaitNS), pct(p.BarrierWaitNS, attributed))
-	fmt.Fprintf(&b, "  outbox drain    %s  %s   (deferred cross-shard effects)\n", ms(p.OutboxDrainNS), pct(p.OutboxDrainNS, attributed))
-	fmt.Fprintf(&b, "  barrier hooks   %s  %s   (obs flush, port fold, slab rebalance)\n", ms(p.HookNS), pct(p.HookNS, attributed))
-	fmt.Fprintf(&b, "  serial suffix   %s  %s   (mesh + memctrl + DRAM)\n", ms(p.SerialSuffixNS), pct(p.SerialSuffixNS, attributed))
-	fmt.Fprintf(&b, "  loop overhead   %s         (horizon folds, quiescence, skips)\n", ms(other))
-	fmt.Fprintf(&b, "amdahl split: serial %s, shard busy %s -> parallel fraction p = %.3f\n",
-		ms(p.SerialNS()), ms(p.ShardBusyTotalNS()), p.ParallelFraction())
-	if len(p.ShardBusyNS) > 0 {
-		fmt.Fprintf(&b, "per-shard busy (imbalance max/mean = %.2f):\n", p.Imbalance())
-		for k, v := range p.ShardBusyNS {
-			fmt.Fprintf(&b, "  shard %-3d %s  %s\n", k, ms(v), pct(v, p.ShardBusyTotalNS()))
-		}
-	}
-	return b.String()
+	return fmt.Sprintf("host profile: %d runs, wall %9.2fms\n  cycles: %d executed, %d fast-forwarded\n",
+		p.Runs, float64(p.TotalNS)/1e6, p.ExecutedCycles, p.SkippedCycles)
 }
 
 // Process-wide profiling switch and aggregate. Engines check the
@@ -188,9 +48,6 @@ var (
 // already in flight keep the setting they started with.
 func SetHostProf(on bool) { hostProfOn.Store(on) }
 
-// HostProfEnabled reports whether host profiling is on.
-func HostProfEnabled() bool { return hostProfOn.Load() }
-
 // ResetHostProf clears the process-wide aggregate.
 func ResetHostProf() {
 	hostProfMu.Lock()
@@ -198,26 +55,19 @@ func ResetHostProf() {
 	hostProfAgg = HostProf{}
 }
 
-// HostProfSnapshot returns an independent copy of the process-wide
-// aggregate.
+// HostProfSnapshot returns a copy of the process-wide aggregate.
 func HostProfSnapshot() HostProf {
 	hostProfMu.Lock()
 	defer hostProfMu.Unlock()
-	p := hostProfAgg
-	p.ShardBusyNS = append([]int64(nil), hostProfAgg.ShardBusyNS...)
-	return p
+	return hostProfAgg
 }
 
 // mergeHostProf folds one run's record into the aggregate.
-func mergeHostProf(p *HostProf) {
+func mergeHostProf(p HostProf) {
 	hostProfMu.Lock()
 	defer hostProfMu.Unlock()
-	hostProfAgg.merge(p)
+	hostProfAgg.Runs += p.Runs
+	hostProfAgg.ExecutedCycles += p.ExecutedCycles
+	hostProfAgg.SkippedCycles += p.SkippedCycles
+	hostProfAgg.TotalNS += p.TotalNS
 }
-
-// profBase anchors the profiling clock so nowNS differences ride Go's
-// monotonic clock, immune to wall-time adjustments.
-var profBase = time.Now()
-
-// nowNS is the profiling clock: monotonic nanoseconds since start.
-func nowNS() int64 { return int64(time.Since(profBase)) }

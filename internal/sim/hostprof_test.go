@@ -1,120 +1,106 @@
 package sim
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
 
+// profiledPulsers runs a small pulser machine and returns the engine,
+// its cycle count, and the pulsers' time-linear accounting.
+func profiledPulsers(t *testing.T, ff bool) (*Engine, Cycle, []int64) {
+	t.Helper()
+	e := NewEngine()
+	e.FastForward = ff
+	var ps []*pulser
+	for _, s := range [][2]int{{3, 5}, {7, 4}, {50, 2}} {
+		p := &pulser{period: Cycle(s[0]), count: s[1]}
+		ps = append(ps, p)
+		e.Register("pulser", p)
+	}
+	c, err := e.Run(nil)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var busy []int64
+	for _, p := range ps {
+		busy = append(busy, p.busy)
+	}
+	return e, c, busy
+}
+
 // TestHostProfIdentity pins the feedback-free contract at the engine
-// level: a profiled sharded run produces exactly the cycle count,
-// per-lane state, and ordered effect log of an unprofiled one.
+// level: a profiled run produces exactly the cycle count and component
+// accounting of an unprofiled one.
 func TestHostProfIdentity(t *testing.T) {
 	for _, ff := range []bool{false, true} {
-		run := func() (Cycle, []*toyLane, []string) {
-			e, lanes, log := buildToy(6, 2, ff)
-			c, err := e.Run(nil)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			return c, lanes, append([]string(nil), *log...)
-		}
-		cPlain, lanesPlain, logPlain := run()
+		_, cPlain, busyPlain := profiledPulsers(t, ff)
 
 		SetHostProf(true)
 		ResetHostProf()
-		cProf, lanesProf, logProf := run()
-		snap := HostProfSnapshot()
+		_, cProf, busyProf := profiledPulsers(t, ff)
 		SetHostProf(false)
 
 		if cPlain != cProf {
 			t.Fatalf("ff=%v: profiled run cycles %d != plain %d", ff, cProf, cPlain)
 		}
-		if !reflect.DeepEqual(logPlain, logProf) {
-			t.Fatalf("ff=%v: effect logs diverge:\nplain: %v\nprof:  %v", ff, logPlain, logProf)
-		}
-		for i := range lanesPlain {
-			if lanesPlain[i].fired != lanesProf[i].fired || lanesPlain[i].busy != lanesProf[i].busy {
-				t.Fatalf("ff=%v: lane %d state diverges: plain {fired %d busy %d} prof {fired %d busy %d}",
-					ff, i, lanesPlain[i].fired, lanesPlain[i].busy, lanesProf[i].fired, lanesProf[i].busy)
+		for i := range busyPlain {
+			if busyPlain[i] != busyProf[i] {
+				t.Fatalf("ff=%v: component %d busy %d != plain %d", ff, i, busyProf[i], busyPlain[i])
 			}
-		}
-		if snap.Runs != 1 || snap.ShardedRuns != 1 {
-			t.Fatalf("ff=%v: snapshot runs = %+v, want 1 sharded run", ff, snap)
-		}
-		if snap.TotalNS <= 0 {
-			t.Fatalf("ff=%v: no wall time recorded: %+v", ff, snap)
-		}
-		if len(snap.ShardBusyNS) != 6 {
-			t.Fatalf("ff=%v: shard busy slots = %d, want 6", ff, len(snap.ShardBusyNS))
-		}
-		if snap.ExecutedCycles <= 0 {
-			t.Fatalf("ff=%v: no executed cycles recorded", ff)
 		}
 	}
 }
 
-// TestHostProfSerialEngine checks a plain Engine contributes run
-// totals (but no phase attribution) to the aggregate.
+// TestHostProfSerialEngine checks a run contributes exactly its
+// engine's meters and its wall time to the aggregate, and nothing
+// while profiling is off.
 func TestHostProfSerialEngine(t *testing.T) {
+	ResetHostProf()
+	profiledPulsers(t, true)
+	if snap := HostProfSnapshot(); snap != (HostProf{}) {
+		t.Fatalf("unprofiled run reached the aggregate: %+v", snap)
+	}
+
 	SetHostProf(true)
 	defer SetHostProf(false)
-	ResetHostProf()
-	e, _, _ := buildToy(4, 0, false)
-	if _, err := e.Run(nil); err != nil {
-		t.Fatal(err)
-	}
+	e, _, _ := profiledPulsers(t, true)
 	snap := HostProfSnapshot()
-	if snap.Runs != 1 || snap.ShardedRuns != 0 {
-		t.Fatalf("snapshot = %+v, want 1 serial run", snap)
+	if snap.Runs != 1 || snap.TotalNS <= 0 {
+		t.Fatalf("snapshot = %+v, want 1 run with wall time", snap)
 	}
-	rep := snap.Report()
-	if !strings.Contains(rep, "no sharded runs") {
-		t.Fatalf("serial-only report should say attribution is unavailable:\n%s", rep)
+	if snap.ExecutedCycles != e.ExecutedCycles || snap.SkippedCycles != e.SkippedCycles {
+		t.Fatalf("snapshot cycles %d/%d, engine %d/%d", snap.ExecutedCycles, snap.SkippedCycles,
+			e.ExecutedCycles, e.SkippedCycles)
+	}
+	if snap.SkippedCycles == 0 {
+		t.Fatal("fast-forwarded run recorded no skipped cycles")
 	}
 }
 
 // TestHostProfReportShape checks the -hostprof rendering carries the
-// barrier-wait attribution and the Amdahl split.
+// run totals.
 func TestHostProfReportShape(t *testing.T) {
-	SetHostProf(true)
-	defer SetHostProf(false)
-	ResetHostProf()
-	e, _, _ := buildToy(8, 3, false)
-	if _, err := e.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	snap := HostProfSnapshot()
-	rep := snap.Report()
-	for _, want := range []string{
-		"barrier wait", "serial prefix", "serial suffix", "outbox drain",
-		"parallel fraction p =", "per-shard busy",
-	} {
+	p := HostProf{Runs: 3, ExecutedCycles: 120, SkippedCycles: 45, TotalNS: 2_500_000}
+	rep := p.Report()
+	for _, want := range []string{"host profile: 3 runs", "2.50ms", "120 executed", "45 fast-forwarded"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
 		}
 	}
-	if snap.ParallelFraction() < 0 || snap.ParallelFraction() > 1 {
-		t.Fatalf("parallel fraction out of range: %v", snap.ParallelFraction())
-	}
-	if snap.Streams != 4 {
-		t.Fatalf("streams = %d, want 4 (3 workers + driver)", snap.Streams)
-	}
 }
 
-// TestHostProfMerge checks aggregate folding across runs and slices of
-// different lengths.
+// TestHostProfMerge checks the aggregate sums every run's totals and
+// that ResetHostProf clears it.
 func TestHostProfMerge(t *testing.T) {
-	var p HostProf
-	p.merge(&HostProf{Runs: 1, ShardBusyNS: []int64{5, 5}, Streams: 2, TotalNS: 10})
-	p.merge(&HostProf{Runs: 1, ShardedRuns: 1, ShardBusyNS: []int64{1, 2, 3, 4}, Streams: 4, TotalNS: 20})
-	if p.Runs != 2 || p.ShardedRuns != 1 || p.TotalNS != 30 || p.Streams != 4 {
-		t.Fatalf("merge totals wrong: %+v", p)
+	ResetHostProf()
+	mergeHostProf(HostProf{Runs: 1, ExecutedCycles: 10, SkippedCycles: 1, TotalNS: 10})
+	mergeHostProf(HostProf{Runs: 1, ExecutedCycles: 20, SkippedCycles: 2, TotalNS: 20})
+	want := HostProf{Runs: 2, ExecutedCycles: 30, SkippedCycles: 3, TotalNS: 30}
+	if got := HostProfSnapshot(); got != want {
+		t.Fatalf("merged aggregate = %+v, want %+v", got, want)
 	}
-	if !reflect.DeepEqual(p.ShardBusyNS, []int64{6, 7, 3, 4}) {
-		t.Fatalf("merged shard busy = %v", p.ShardBusyNS)
-	}
-	if p.ShardBusyTotalNS() != 20 {
-		t.Fatalf("shard busy total = %d", p.ShardBusyTotalNS())
+	ResetHostProf()
+	if got := HostProfSnapshot(); got != (HostProf{}) {
+		t.Fatalf("aggregate after reset = %+v", got)
 	}
 }

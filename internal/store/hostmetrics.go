@@ -161,8 +161,8 @@ func (s *Server) logRequest(ri *reqInfo, method, route string, status int, bytes
 func (s *Server) Host() *hostobs.Registry { return s.host }
 
 // EnableHostProf turns on sim host profiling process-wide and exports
-// the aggregate attribution as gauges, so a /metrics scrape shows
-// where simulation wall time goes while the daemon serves.
+// the aggregate run totals as gauges, so a /metrics scrape shows how
+// much simulation the daemon has done and at what wall-time cost.
 func (s *Server) EnableHostProf() {
 	sim.SetHostProf(true)
 	snap := func(f func(sim.HostProf) int64) func() int64 {
@@ -170,16 +170,12 @@ func (s *Server) EnableHostProf() {
 	}
 	s.host.GaugeFunc("sim_hostprof_runs", "Profiled engine runs completed.",
 		snap(func(p sim.HostProf) int64 { return p.Runs }))
-	s.host.GaugeFunc("sim_hostprof_sharded_runs", "Profiled sharded engine runs completed.",
-		snap(func(p sim.HostProf) int64 { return p.ShardedRuns }))
 	s.host.GaugeFunc("sim_hostprof_total_ns", "Wall nanoseconds inside engine runs.",
 		snap(func(p sim.HostProf) int64 { return p.TotalNS }))
-	s.host.GaugeFunc("sim_hostprof_serial_ns", "Attributed serial-phase nanoseconds (sharded runs).",
-		snap(func(p sim.HostProf) int64 { return p.SerialNS() }))
-	s.host.GaugeFunc("sim_hostprof_shard_busy_ns", "Summed per-shard busy nanoseconds.",
-		snap(func(p sim.HostProf) int64 { return p.ShardBusyTotalNS() }))
-	s.host.GaugeFunc("sim_hostprof_barrier_wait_ns", "Driver nanoseconds idle at the epoch barrier.",
-		snap(func(p sim.HostProf) int64 { return p.BarrierWaitNS }))
+	s.host.GaugeFunc("sim_hostprof_executed_cycles", "Simulated cycles individually executed by profiled runs.",
+		snap(func(p sim.HostProf) int64 { return p.ExecutedCycles }))
+	s.host.GaugeFunc("sim_hostprof_skipped_cycles", "Simulated cycles fast-forwarded by profiled runs.",
+		snap(func(p sim.HostProf) int64 { return p.SkippedCycles }))
 }
 
 // handleMetrics implements GET /metrics: the Prometheus text

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,18 @@ import (
 	// workload) and the "+inferred" synthesis suffix, which this
 	// import registers.
 	_ "taskstream/internal/analysis/infer"
+)
+
+// Request limits. A wire spec encodes to about 600 bytes, and repository
+// callers send far less than either cap allows: delta-bench -server
+// posts one spec per /v1/run, 327 requests for the whole suite. The
+// caps bound what one request can make the daemon buffer and spawn.
+const (
+	// MaxBodyBytes bounds a /v1/run or /v1/suite request body.
+	MaxBodyBytes = 4 << 20
+	// MaxSuiteSpecs bounds the specs in one /v1/suite batch; each gets
+	// its own goroutine.
+	MaxSuiteSpecs = 1024
 )
 
 // Server is the delta-serve HTTP handler: it resolves wire specs
@@ -118,8 +131,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, RunResponse{Error: fmt.Sprintf("bad request: %v", err)})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	resp := s.resolve(req.Spec)
@@ -148,8 +160,12 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SuiteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, RunResponse{Error: fmt.Sprintf("bad request: %v", err)})
+	if !decodeBody(w, r, &req) {
+		return
+	}
+	if len(req.Specs) > MaxSuiteSpecs {
+		writeJSON(w, http.StatusRequestEntityTooLarge, RunResponse{
+			Error: fmt.Sprintf("batch of %d specs exceeds the %d-spec limit", len(req.Specs), MaxSuiteSpecs)})
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -193,6 +209,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Store = &st
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// decodeBody decodes a JSON request body of at most MaxBodyBytes into
+// v. On failure it answers 413 for an oversized body or 400 for a
+// malformed one and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, RunResponse{Error: fmt.Sprintf("bad request: %v", err)})
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

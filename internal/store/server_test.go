@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"taskstream/internal/baseline"
@@ -99,6 +100,63 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unresolvable spec returned HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServerRejectsOversizedBody pins the body bound: a request body
+// past MaxBodyBytes is answered 413 on both POST routes, and nothing
+// executes.
+func TestServerRejectsOversizedBody(t *testing.T) {
+	c, r, _ := newTestService(t)
+	// A valid JSON prefix whose string never ends before the limit.
+	body := append([]byte(`{"spec":{"workload":"`), bytes.Repeat([]byte("a"), MaxBodyBytes)...)
+	for _, route := range []string{"/v1/run", "/v1/suite"} {
+		resp, err := http.Post(c.base+route, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body returned HTTP %d, want 413", route, resp.StatusCode)
+		}
+	}
+	if n := r.Counters(); n != (runplan.Counters{}) {
+		t.Fatalf("oversized requests reached the runner: %+v", n)
+	}
+}
+
+// TestServerRejectsOverCapBatch pins the batch bound: a /v1/suite
+// batch past MaxSuiteSpecs is answered 413 before any spec runs, while
+// its body is still within MaxBodyBytes.
+func TestServerRejectsOverCapBatch(t *testing.T) {
+	c, r, _ := newTestService(t)
+	ws := wireSpec(t, histSpec())
+	specs := make([]runplan.WireSpec, MaxSuiteSpecs+1)
+	for i := range specs {
+		specs[i] = ws
+	}
+	body, err := json.Marshal(SuiteRequest{Specs: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > MaxBodyBytes {
+		t.Fatalf("test batch is %d bytes, over the %d-byte body bound", len(body), MaxBodyBytes)
+	}
+	resp, err := http.Post(c.base+"/v1/suite", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr RunResponse
+	json.NewDecoder(resp.Body).Decode(&rr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-cap batch returned HTTP %d, want 413", resp.StatusCode)
+	}
+	if !strings.Contains(rr.Error, "limit") {
+		t.Fatalf("over-cap batch error %q does not name the limit", rr.Error)
+	}
+	if n := r.Counters(); n != (runplan.Counters{}) {
+		t.Fatalf("over-cap batch reached the runner: %+v", n)
 	}
 }
 

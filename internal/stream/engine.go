@@ -26,7 +26,7 @@ type Engine struct {
 	cfg       config.Config
 	inj       Injector
 	spad      *mem.Spad
-	pool      proto.BodyPool
+	pool      *proto.Pool
 	reads     []*readCtx
 	writes    []*writeCtx
 	maxOut    int // per-context outstanding line requests
@@ -61,10 +61,8 @@ type Engine struct {
 
 	// obs, when non-nil, receives span issue/complete events; now is
 	// the engine's view of the current cycle (messages are delivered
-	// outside Tick, so the lane refreshes it via SetCycle). Under
-	// sharded execution it is the lane's per-shard obs.Buffer rather
-	// than the shared sink.
-	obs obs.Emitter
+	// outside Tick, so the lane refreshes it via SetCycle).
+	obs *obs.Sink
 	now sim.Cycle
 }
 
@@ -77,11 +75,10 @@ const (
 )
 
 // NewEngine builds a stream engine for the given lane. pool supplies
-// the recycled message bodies the engine sends and frees (a lane-local
-// proto.ShardPool under sharded execution, the machine's central
-// proto.Pool otherwise); nil means a private unshared pool, which
+// the recycled message bodies the engine sends and frees (the
+// machine's central pool); nil means a private unshared pool, which
 // keeps standalone construction simple in tests.
-func NewEngine(lane int, cfg config.Config, topo proto.Topology, inj Injector, spad *mem.Spad, pool proto.BodyPool) *Engine {
+func NewEngine(lane int, cfg config.Config, topo proto.Topology, inj Injector, spad *mem.Spad, pool *proto.Pool) *Engine {
 	if pool == nil {
 		pool = proto.NewPool()
 	}
@@ -115,10 +112,8 @@ func NewEngine(lane int, cfg config.Config, topo proto.Topology, inj Injector, s
 	return e
 }
 
-// SetObs attaches the observability emitter (the shared sink, or a
-// per-shard staging buffer under sharded execution). Callers must pass
-// nil — not a typed-nil sink — to detach.
-func (e *Engine) SetObs(s obs.Emitter) { e.obs = s }
+// SetObs attaches the observability sink; nil detaches it.
+func (e *Engine) SetObs(s *obs.Sink) { e.obs = s }
 
 // SetCycle refreshes the engine's notion of the current cycle so that
 // events emitted from message handlers (which run outside Tick) carry
